@@ -2,12 +2,23 @@ package serve
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/nn"
 	"repro/internal/table"
 	"repro/internal/zeroed"
 )
+
+// ingestCSV is the CSV-only ingest path, for fuzz corpora and reference
+// comparisons that feed raw CSV bytes without a request.
+func ingestCSV(name string, r io.Reader, lim ingestLimits) (*table.Dataset, error) {
+	src, err := table.NewCSVSource(r)
+	if err != nil {
+		return nil, err
+	}
+	return ingestSource(name, src, lim)
+}
 
 // FuzzDetect drives arbitrary small CSV bytes through the full
 // request-reachable path — boundary ingestion (limits, arity validation)

@@ -227,13 +227,12 @@ func (m *metrics) addFitStages(stages []zeroed.StageTiming) {
 
 // modelGauge carries one registered model's per-model gauges to render:
 // its current version and — when a stream has touched it — its live drift
-// reading.
+// reading and refit health.
 type modelGauge struct {
 	id        string
 	version   int
-	hasDrift  bool
+	streaming bool
 	drift     stats.DriftGauges
-	hasHealth bool
 	health    zeroed.RefitHealth
 }
 
@@ -241,18 +240,12 @@ type modelGauge struct {
 // gauges of the ones with live stream scorers, sorted by id for stable
 // exposition output.
 func (s *Server) modelGauges() []modelGauge {
-	drift := s.driftReadings()
-	health := s.healthReadings()
+	live := s.streamReadings()
 	list := s.reg.list()
 	out := make([]modelGauge, 0, len(list))
 	for _, st := range list {
-		g := modelGauge{id: st.ID, version: st.Version}
-		if d, ok := drift[st.ID]; ok {
-			g.hasDrift, g.drift = true, d
-		}
-		if h, ok := health[st.ID]; ok {
-			g.hasHealth, g.health = true, h
-		}
+		g := live[st.ID]
+		g.id, g.version = st.ID, st.Version
 		out = append(out, g)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
@@ -388,52 +381,34 @@ func (m *metrics) render(w io.Writer, byState map[JobState]int, modelCount int, 
 			fmt.Fprintf(w, "zeroedd_model_version{model=%q} %d\n", g.id, g.version)
 		}
 	}
-	withHealth := false
+	var live []modelGauge // the models a stream has touched
 	for _, g := range models {
-		if g.hasHealth {
-			withHealth = true
-			break
+		if g.streaming {
+			live = append(live, g)
 		}
 	}
-	if withHealth {
-		fmt.Fprintln(w, "# HELP zeroedd_model_refit_breaker Per-model refit circuit breaker: 1 when open (refits disabled until a successful install).")
-		fmt.Fprintln(w, "# TYPE zeroedd_model_refit_breaker gauge")
-		for _, g := range models {
-			if !g.hasHealth {
-				continue
-			}
-			open := 0
-			if g.health.BreakerOpen {
-				open = 1
-			}
-			fmt.Fprintf(w, "zeroedd_model_refit_breaker{model=%q} %d\n", g.id, open)
-		}
-		fmt.Fprintln(w, "# HELP zeroedd_model_refit_consecutive_failures Consecutive failed refits since the last successful install (drives exponential backoff).")
-		fmt.Fprintln(w, "# TYPE zeroedd_model_refit_consecutive_failures gauge")
-		for _, g := range models {
-			if !g.hasHealth {
-				continue
-			}
-			fmt.Fprintf(w, "zeroedd_model_refit_consecutive_failures{model=%q} %d\n", g.id, g.health.ConsecutiveFailures)
-		}
+	if len(live) == 0 {
+		return
 	}
-	withDrift := false
-	for _, g := range models {
-		if g.hasDrift {
-			withDrift = true
-			break
+	fmt.Fprintln(w, "# HELP zeroedd_model_refit_breaker Per-model refit circuit breaker: 1 when open (refits disabled until a successful install).")
+	fmt.Fprintln(w, "# TYPE zeroedd_model_refit_breaker gauge")
+	for _, g := range live {
+		open := 0
+		if g.health.BreakerOpen {
+			open = 1
 		}
+		fmt.Fprintf(w, "zeroedd_model_refit_breaker{model=%q} %d\n", g.id, open)
 	}
-	if withDrift {
-		fmt.Fprintln(w, "# HELP zeroedd_model_drift Streaming drift gauges per model: unseen-value rate and distribution shift against the fit-time snapshot.")
-		fmt.Fprintln(w, "# TYPE zeroedd_model_drift gauge")
-		for _, g := range models {
-			if !g.hasDrift {
-				continue
-			}
-			fmt.Fprintf(w, "zeroedd_model_drift{model=%q,gauge=\"unseen_rate\"} %g\n", g.id, g.drift.UnseenRate)
-			fmt.Fprintf(w, "zeroedd_model_drift{model=%q,gauge=\"shift\"} %g\n", g.id, g.drift.Shift)
-			fmt.Fprintf(w, "zeroedd_model_drift{model=%q,gauge=\"rows\"} %d\n", g.id, g.drift.Rows)
-		}
+	fmt.Fprintln(w, "# HELP zeroedd_model_refit_consecutive_failures Consecutive failed refits since the last successful install (drives exponential backoff).")
+	fmt.Fprintln(w, "# TYPE zeroedd_model_refit_consecutive_failures gauge")
+	for _, g := range live {
+		fmt.Fprintf(w, "zeroedd_model_refit_consecutive_failures{model=%q} %d\n", g.id, g.health.ConsecutiveFailures)
+	}
+	fmt.Fprintln(w, "# HELP zeroedd_model_drift Streaming drift gauges per model: unseen-value rate and distribution shift against the fit-time snapshot.")
+	fmt.Fprintln(w, "# TYPE zeroedd_model_drift gauge")
+	for _, g := range live {
+		fmt.Fprintf(w, "zeroedd_model_drift{model=%q,gauge=\"unseen_rate\"} %g\n", g.id, g.drift.UnseenRate)
+		fmt.Fprintf(w, "zeroedd_model_drift{model=%q,gauge=\"shift\"} %g\n", g.id, g.drift.Shift)
+		fmt.Fprintf(w, "zeroedd_model_drift{model=%q,gauge=\"rows\"} %d\n", g.id, g.drift.Rows)
 	}
 }

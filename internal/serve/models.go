@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,7 +16,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/table"
 	"repro/internal/zeroed"
 )
 
@@ -443,10 +441,8 @@ func (s *Server) handleModelFit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Ingest before taking a fit slot: body reads run at the client's pace,
 	// and a slow upload must not hold fit concurrency hostage.
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	ds, _, err := s.ingestUpload(params.Name, r, body, nil)
-	if err != nil {
-		writeIngestErr(w, r, err, s.cfg.MaxUploadBytes)
+	ds, _, ok := s.ingestUpload(w, r, params.Name, nil)
+	if !ok {
 		return
 	}
 	cfg, err := s.mgr.jobConfig(params)
@@ -462,21 +458,14 @@ func (s *Server) handleModelFit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	m, err := s.fitModel(r, cfg, ds)
+	var m *zeroed.Model
+	err = s.contain(r, "fit", func() (err error) {
+		m, err = zeroed.New(cfg).FitOn(r.Context(), s.mgr.pool, ds)
+		return err
+	})
 	fitDur := time.Since(start) // the fit phase alone, not encode/persist
 	if err != nil {
-		switch s.classifyFailure(r) {
-		case failDeadline:
-			s.writeDeadline(w, r)
-			return
-		case failClientGone:
-			return // client gone; nothing useful to write
-		}
-		if errors.Is(err, errInternalPanic) {
-			writeErr(w, r, http.StatusInternalServerError, "internal", "internal error during fit")
-			return
-		}
-		writeErr(w, r, http.StatusBadRequest, "fit_failed", err.Error())
+		s.writeRunErr(w, r, opFit, err)
 		return
 	}
 	_, encSpan := obs.Start(r.Context(), "encode")
@@ -528,24 +517,6 @@ func (s *Server) handleModelFit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, out)
 }
 
-// errInternalPanic marks a recovered server-side panic: the client gets a
-// generic 500, the stack stays in the server log (stack traces are
-// internals, not API responses).
-var errInternalPanic = errors.New("serve: internal panic")
-
-// fitModel runs one fit on the shared pool, converting stray panics into
-// errors.
-func (s *Server) fitModel(r *http.Request, cfg zeroed.Config, ds *table.Dataset) (m *zeroed.Model, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.log.Error("fit panicked", "request_id", reqIDFrom(r.Context()),
-				"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
-			err = errInternalPanic
-		}
-	}()
-	return zeroed.New(cfg).FitOn(r.Context(), s.mgr.pool, ds)
-}
-
 // persistArtifact durably commits the encoded artifact under the model
 // directory (creating it on first use) via the atomic temp+fsync+rename
 // protocol: a crash at any point leaves the directory with either no new
@@ -568,91 +539,6 @@ func (s *Server) handleModelInfo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, e.status())
-}
-
-// handleModelScore scores a CSV or NDJSON body synchronously against a
-// registered model — the cheap phase only, no retraining. The uploaded
-// header may be a permutation or superset of the model's schema (extras
-// are dropped and reported; missing columns are a typed 400). The model is
-// pinned for the duration of the request: a concurrent DELETE makes the id
-// 404 for new requests but never tears this one — the captured entry keeps
-// scoring and its artifacts stay on disk until the pin drains.
-func (s *Server) handleModelScore(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := s.reg.acquire(id)
-	if !ok {
-		writeErr(w, r, http.StatusNotFound, "not_found", "unknown model id")
-		return
-	}
-	defer s.reg.release(id)
-	// A degenerate model has no trained detector — its fallback labels are
-	// positional in the fitting data and meaningless for arbitrary uploads.
-	if e.m.Degenerate() {
-		writeErr(w, r, http.StatusConflict, "degenerate_model",
-			"model was fitted on single-class data and cannot score new rows; refit on richer data")
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	ds, mapping, err := s.ingestUpload("score", r, body, e.m.Attrs())
-	if err != nil {
-		writeIngestErr(w, r, err, s.cfg.MaxUploadBytes)
-		return
-	}
-	res, err := s.scoreModel(r, e, ds)
-	if err != nil {
-		switch s.classifyFailure(r) {
-		case failDeadline:
-			s.writeDeadline(w, r)
-			return
-		case failClientGone:
-			return
-		}
-		if errors.Is(err, errInternalPanic) {
-			writeErr(w, r, http.StatusInternalServerError, "internal", "internal error during scoring")
-			return
-		}
-		writeErr(w, r, http.StatusBadRequest, "score_failed", err.Error())
-		return
-	}
-	s.met.scoreRuns.Add(1)
-	s.met.scoreNanos.Add(int64(res.Runtime))
-	out := ScoreResult{
-		ModelID: e.id,
-		Attrs:   e.m.Attrs(),
-		Rows:    len(res.Pred),
-		Pred:    res.Pred,
-		ScoreMS: res.Runtime.Milliseconds(),
-	}
-	if mapping != nil {
-		out.DroppedCols = mapping.Dropped
-	}
-	if r.URL.Query().Get("scores") != "0" {
-		out.Scores = res.Scores
-	}
-	for _, row := range res.Pred {
-		for _, p := range row {
-			if p {
-				out.Flagged++
-			}
-		}
-	}
-	if wantTrace(r) {
-		out.Trace = traceTree(r)
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// scoreModel runs one scoring pass on the shared pool, converting stray
-// panics into errors.
-func (s *Server) scoreModel(r *http.Request, e *regEntry, ds *table.Dataset) (res *zeroed.Result, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.log.Error("scoring panicked", "request_id", reqIDFrom(r.Context()),
-				"model", e.id, "panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
-			err = errInternalPanic
-		}
-	}()
-	return e.m.ScoreOn(r.Context(), s.mgr.pool, ds)
 }
 
 // handleModelDelete evicts a model. The id 404s immediately for new

@@ -134,8 +134,7 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 			s.log.Error("panic recovered",
 				"request_id", rid, "route", route,
 				"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
-			writeErr(sw, r, http.StatusInternalServerError, "internal",
-				fmt.Sprintf("internal error: %v", rec))
+			writeErr(sw, r, http.StatusInternalServerError, "internal", internalMsg)
 		}
 		code := sw.status
 		if code == 0 {

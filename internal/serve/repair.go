@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"net/http"
 	"time"
 
@@ -54,50 +53,16 @@ type RepairResult struct {
 }
 
 // handleModelRepair scores an uploaded CSV or NDJSON body against a
-// registered model and repairs the flagged cells. Like score, the upload
-// header may be a permutation or superset of the model schema, the model
-// is pinned for the duration of the request, and no refit happens.
-func (s *Server) handleModelRepair(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := s.reg.acquire(id)
+// registered model exactly like score — same upload mapping, same pin, no
+// refit — and repairs the flagged cells.
+func (s *Server) handleModelRepair(w http.ResponseWriter, r *http.Request, e *regEntry) {
+	sc, ok := s.scoreUpload(w, r, e, "repair")
 	if !ok {
-		writeErr(w, r, http.StatusNotFound, "not_found", "unknown model id")
 		return
 	}
-	defer s.reg.release(id)
-	if e.m.Degenerate() {
-		writeErr(w, r, http.StatusConflict, "degenerate_model",
-			"model was fitted on single-class data and cannot score new rows; refit on richer data")
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	ds, mapping, err := s.ingestUpload("repair", r, body, e.m.Attrs())
-	if err != nil {
-		writeIngestErr(w, r, err, s.cfg.MaxUploadBytes)
-		return
-	}
-	res, err := s.scoreModel(r, e, ds)
-	if err != nil {
-		switch s.classifyFailure(r) {
-		case failDeadline:
-			s.writeDeadline(w, r)
-			return
-		case failClientGone:
-			return
-		}
-		if errors.Is(err, errInternalPanic) {
-			writeErr(w, r, http.StatusInternalServerError, "internal", "internal error during scoring")
-			return
-		}
-		writeErr(w, r, http.StatusBadRequest, "score_failed", err.Error())
-		return
-	}
-	s.met.scoreRuns.Add(1)
-	s.met.scoreNanos.Add(int64(res.Runtime))
-
 	start := time.Now()
 	_, repSpan := obs.Start(r.Context(), "repair.apply")
-	fixed, fixes := repair.New(repair.Config{}).Apply(ds, res.Pred)
+	fixed, fixes := repair.New(repair.Config{}).Apply(sc.ds, sc.res.Pred)
 	repSpan.SetInt("changes", int64(len(fixes)))
 	repSpan.End()
 	repairDur := time.Since(start)
@@ -105,31 +70,23 @@ func (s *Server) handleModelRepair(w http.ResponseWriter, r *http.Request) {
 	s.met.repairNanos.Add(int64(repairDur))
 	s.met.repairedCells.Add(int64(len(fixes)))
 
-	out := RepairResult{
-		ModelID:  e.id,
-		Attrs:    e.m.Attrs(),
-		Rows:     ds.NumRows(),
-		Repaired: len(fixes),
-		Changes:  make([]RepairChange, 0, len(fixes)),
-		ScoreMS:  res.Runtime.Milliseconds(),
-		RepairMS: repairDur.Milliseconds(),
-	}
-	for _, row := range res.Pred {
-		for _, p := range row {
-			if p {
-				out.Flagged++
-			}
-		}
-	}
 	attrs := e.m.Attrs()
+	out := RepairResult{
+		ModelID:     e.id,
+		Attrs:       attrs,
+		Rows:        sc.ds.NumRows(),
+		Flagged:     countFlagged(sc.res.Pred),
+		Repaired:    len(fixes),
+		Changes:     make([]RepairChange, 0, len(fixes)),
+		DroppedCols: sc.dropped,
+		ScoreMS:     sc.res.Runtime.Milliseconds(),
+		RepairMS:    repairDur.Milliseconds(),
+	}
 	for _, f := range fixes {
 		out.Changes = append(out.Changes, RepairChange{
 			Row: f.Row, Col: f.Col, Attr: attrs[f.Col],
 			Old: f.Old, New: f.New, Strategy: string(f.Strategy),
 		})
-	}
-	if mapping != nil {
-		out.DroppedCols = mapping.Dropped
 	}
 	if r.URL.Query().Get("table") != "0" {
 		out.Table = make([][]string, fixed.NumRows())

@@ -47,7 +47,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -208,9 +207,9 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST /v1/models", s.handleModelFit)
 	mux.HandleFunc("GET /v1/models", s.handleModelList)
 	mux.HandleFunc("GET /v1/models/{id}", s.handleModelInfo)
-	mux.HandleFunc("POST /v1/models/{id}/score", s.handleModelScore)
-	mux.HandleFunc("POST /v1/models/{id}/stream", s.handleModelStream)
-	mux.HandleFunc("POST /v1/models/{id}/repair", s.handleModelRepair)
+	mux.HandleFunc("POST /v1/models/{id}/score", s.withModel(s.handleModelScore))
+	mux.HandleFunc("POST /v1/models/{id}/stream", s.withModel(s.handleModelStream))
+	mux.HandleFunc("POST /v1/models/{id}/repair", s.withModel(s.handleModelRepair))
 	mux.HandleFunc("DELETE /v1/models/{id}", s.handleModelDelete)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -276,42 +275,6 @@ const (
 func writeBusy(w http.ResponseWriter, r *http.Request, code, msg string, retryAfterSec int) {
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSec))
 	writeErr(w, r, http.StatusTooManyRequests, code, msg)
-}
-
-// retryAfterDeadline hints how long a deadline-exceeded client should wait
-// before retrying, in seconds.
-const retryAfterDeadline = 2
-
-// writeDeadline is the single request-timeout path: a typed 503 with a
-// Retry-After hint. The deadline is a capacity signal (the work was sound,
-// the box was slow), so it must never surface as a generic 500.
-func (s *Server) writeDeadline(w http.ResponseWriter, r *http.Request) {
-	s.met.deadlines.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterDeadline))
-	writeErr(w, r, http.StatusServiceUnavailable, "deadline",
-		fmt.Sprintf("request exceeded the %s server-side deadline", s.cfg.RequestTimeout))
-}
-
-// requestFailure classifies a handler error against the request context:
-// deadline (write the typed 503), client gone (write nothing), or neither
-// (the caller maps its own domain errors).
-type requestFailure int
-
-const (
-	failOther requestFailure = iota
-	failDeadline
-	failClientGone
-)
-
-func (s *Server) classifyFailure(r *http.Request) requestFailure {
-	switch {
-	case errors.Is(r.Context().Err(), context.DeadlineExceeded):
-		return failDeadline
-	case r.Context().Err() != nil:
-		return failClientGone
-	default:
-		return failOther
-	}
 }
 
 // writeIngestErr maps an upload-ingestion failure to its structured
@@ -484,37 +447,32 @@ func ingestSource(name string, src table.RowSource, lim ingestLimits) (*table.Da
 	return ds, nil
 }
 
-// ingestCSV is the CSV-only ingest path, retained for callers (and fuzz
-// corpora) that feed raw CSV bytes without a request.
-func ingestCSV(name string, r io.Reader, lim ingestLimits) (*table.Dataset, error) {
-	src, err := table.NewCSVSource(r)
-	if err != nil {
-		return nil, err
-	}
-	return ingestSource(name, src, lim)
-}
-
 // ingestUpload is the shared entry point for the whole-body endpoints
-// (jobs, fit, score, repair): negotiate the format, open the source, map it
-// onto the schema when given, and stream it into a dataset under limits.
-func (s *Server) ingestUpload(name string, r *http.Request, body io.Reader, schema []string) (*table.Dataset, *table.ColumnMapping, error) {
+// (jobs, fit, score, repair): bound the body at MaxUploadBytes, negotiate
+// the format, open the source, map it onto the schema when given, and
+// stream it into a dataset under limits. On failure it has written the
+// error response and returns false. It also returns the upload columns a
+// schema mapping dropped.
+func (s *Server) ingestUpload(w http.ResponseWriter, r *http.Request, name string, schema []string) (*table.Dataset, []string, bool) {
 	_, span := obs.Start(r.Context(), "ingest")
 	defer span.End()
-	src, mapping, err := uploadSource(r, body, schema)
-	if err != nil {
-		return nil, nil, err
+	src, mapping, err := uploadSource(r, http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes), schema)
+	var ds *table.Dataset
+	if err == nil {
+		ds, err = ingestSource(name, src, ingestLimits{maxRows: s.cfg.MaxRows, maxCols: s.cfg.MaxCols})
 	}
-	ds, err := ingestSource(name, src, ingestLimits{maxRows: s.cfg.MaxRows, maxCols: s.cfg.MaxCols})
 	if err != nil {
-		return nil, nil, err
+		writeIngestErr(w, r, err, s.cfg.MaxUploadBytes)
+		return nil, nil, false
 	}
 	span.SetInt("rows", int64(ds.NumRows()))
 	span.SetInt("cols", int64(ds.NumCols()))
-	if mapping != nil && len(mapping.Dropped) > 0 {
-		s.met.mappedUploads.Add(1)
-		s.met.droppedColumns.Add(int64(len(mapping.Dropped)))
+	if mapping == nil || len(mapping.Dropped) == 0 {
+		return ds, nil, true
 	}
-	return ds, mapping, nil
+	s.met.mappedUploads.Add(1)
+	s.met.droppedColumns.Add(int64(len(mapping.Dropped)))
+	return ds, mapping.Dropped, true
 }
 
 // handleSubmit accepts a CSV or NDJSON upload and enqueues a detection job.
@@ -531,10 +489,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeBusy(w, r, "queue_full", errQueueFull.Error(), retryAfterQueue)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	ds, _, err := s.ingestUpload(params.Name, r, body, nil)
-	if err != nil {
-		writeIngestErr(w, r, err, s.cfg.MaxUploadBytes)
+	ds, _, ok := s.ingestUpload(w, r, params.Name, nil)
+	if !ok {
 		return
 	}
 	j, err := s.mgr.submit(r.Context(), ds, params)
@@ -606,6 +562,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		Name:          name,
 		Attrs:         attrs,
 		Rows:          len(res.Pred),
+		Flagged:       countFlagged(res.Pred),
 		Pred:          res.Pred,
 		SampledCells:  res.SampledCells,
 		TrainingCells: res.TrainingCells,
@@ -616,13 +573,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("scores") != "0" {
 		out.Scores = res.Scores
-	}
-	for _, row := range res.Pred {
-		for _, p := range row {
-			if p {
-				out.Flagged++
-			}
-		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

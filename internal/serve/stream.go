@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/stats"
+	"repro/internal/table"
 	"repro/internal/zeroed"
 )
 
@@ -72,26 +74,16 @@ func (s *Server) dropScorer(id string) {
 	s.streams.mu.Unlock()
 }
 
-// driftReadings snapshots every live stream scorer's gauges for /metrics.
-func (s *Server) driftReadings() map[string]stats.DriftGauges {
+// streamReadings snapshots every live stream scorer's drift gauges and
+// refit-failure containment state for /metrics, under one lock so both
+// families always cover the same models.
+func (s *Server) streamReadings() map[string]modelGauge {
 	s.streams.mu.Lock()
 	defer s.streams.mu.Unlock()
-	out := make(map[string]stats.DriftGauges, len(s.streams.m))
+	out := make(map[string]modelGauge, len(s.streams.m))
 	for id, ss := range s.streams.m {
-		g, _ := ss.Gauges()
-		out[id] = g
-	}
-	return out
-}
-
-// healthReadings snapshots every live stream scorer's refit-failure
-// containment state for /metrics.
-func (s *Server) healthReadings() map[string]zeroed.RefitHealth {
-	s.streams.mu.Lock()
-	defer s.streams.mu.Unlock()
-	out := make(map[string]zeroed.RefitHealth, len(s.streams.m))
-	for id, ss := range s.streams.m {
-		out[id] = ss.RefitHealth()
+		drift, _ := ss.Gauges()
+		out[id] = modelGauge{streaming: true, drift: drift, health: ss.RefitHealth()}
 	}
 	return out
 }
@@ -121,19 +113,8 @@ type streamSummary struct {
 // body decodes through the shared table.RowSource layer: a CSV header may
 // be a permutation or superset of the model's schema (table.MapSource
 // projects it), NDJSON lines bind directly to the schema.
-func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := s.reg.acquire(id)
-	if !ok {
-		writeErr(w, r, http.StatusNotFound, "not_found", "unknown model id")
-		return
-	}
-	defer s.reg.release(id)
-	if e.m.Degenerate() {
-		writeErr(w, r, http.StatusConflict, "degenerate_model",
-			"model was fitted on single-class data and cannot score new rows; refit on richer data")
-		return
-	}
+func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request, e *regEntry) {
+	id := e.id
 	ss, err := s.scorerFor(id, e)
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "stream_failed", err.Error())
@@ -149,11 +130,12 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request) {
 		}
 		chunkRows = n
 	}
-	src, _, err := uploadSource(r, r.Body, e.m.Attrs())
+	raw, _, err := uploadSource(r, r.Body, e.m.Attrs())
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_stream", err.Error())
 		return
 	}
+	src := &bodySource{RowSource: raw}
 	withScores := r.URL.Query().Get("scores") != "0"
 
 	// Verdicts are written while the body is still being read, so the
@@ -167,82 +149,81 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
+	inBand := func(e apiError) { _ = enc.Encode(map[string]apiError{"error": e}) }
 	s.met.streamRequests.Add(1)
 
-	rows, refits := 0, 0
-	var st zeroed.ChunkStatus
-	for {
-		chunk, rerr := src.Next(chunkRows)
-		if len(chunk) > 0 {
-			res, cst, err := s.scoreChunk(r.Context(), ss, chunk)
-			if err != nil {
-				switch s.classifyFailure(r) {
-				case failDeadline:
-					// The 200 is already on the wire: the deadline surfaces
-					// as a typed terminal NDJSON line instead of a status.
-					s.met.deadlines.Add(1)
-					_ = enc.Encode(map[string]apiError{"error": apiErrorFor(r, "deadline",
-						fmt.Sprintf("stream exceeded the %s server-side deadline", s.cfg.RequestTimeout))})
-					return
-				case failClientGone:
-					return // client gone
-				}
-				_ = enc.Encode(map[string]apiError{"error": apiErrorFor(r, "score_failed", err.Error())})
-				return
+	refits := 0
+	emit := func(start int, res *zeroed.Result, st zeroed.ChunkStatus) error {
+		for i := range res.Pred {
+			line := streamLine{Row: start + i, Version: st.Version, Pred: res.Pred[i]}
+			if withScores {
+				line.Scores = res.Scores[i]
 			}
-			st = cst
-			for i := range res.Pred {
-				line := streamLine{Row: rows + i, Version: cst.Version, Pred: res.Pred[i]}
-				if withScores {
-					line.Scores = res.Scores[i]
-				}
-				if err := enc.Encode(line); err != nil {
-					return // client gone
-				}
-			}
-			rows += len(chunk)
-			s.met.streamRows.Add(int64(len(chunk)))
-			_ = rc.Flush()
-			if cst.ShouldRefit && ss.BeginRefit() {
-				refits++
-				s.met.refitsStarted.Add(1)
-				_ = enc.Encode(map[string]any{"event": "refit", "model": id, "version": cst.Version})
-				go s.runRefit(id, ss)
+			if err := enc.Encode(line); err != nil {
+				return errStopStream // client gone
 			}
 		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			_ = enc.Encode(map[string]apiError{"error": apiErrorFor(r, "bad_stream", rerr.Error())})
-			return
+		s.met.streamRows.Add(int64(len(res.Pred)))
+		_ = rc.Flush()
+		if st.ShouldRefit && ss.BeginRefit() {
+			refits++
+			s.met.refitsStarted.Add(1)
+			_ = enc.Encode(map[string]any{"event": "refit", "model": id, "version": st.Version})
+			go s.runRefit(id, ss)
 		}
 		// A long-lived stream ends gracefully when its model is deleted:
 		// the chunk that was in flight finished above, nothing tears.
-		if _, ok := s.reg.get(id); !ok {
-			_ = enc.Encode(map[string]apiError{"error": apiErrorFor(r, "model_deleted", "model was deleted mid-stream")})
-			return
+		if _, ok := s.reg.get(id); !ok && !src.done {
+			inBand(apiErrorFor(r, "model_deleted", "model was deleted mid-stream"))
+			return errStopStream
 		}
+		return nil
 	}
-	drift := st.Drift
-	version := st.Version
-	if rows == 0 {
-		drift, version = ss.Gauges()
+	var rows int
+	var st zeroed.ChunkStatus
+	err = s.contain(r, "stream scoring", func() (err error) {
+		rows, st, err = ss.ScoreSource(r.Context(), s.mgr.pool, src, chunkRows, emit)
+		return err
+	})
+	var bad badBody
+	switch {
+	case errors.Is(err, errStopStream):
+	case errors.As(err, &bad):
+		inBand(apiErrorFor(r, "bad_stream", bad.Error()))
+	case err != nil:
+		if status, e := s.runFailure(r, opStream, err); status != 0 {
+			inBand(e)
+		}
+	default:
+		drift, version := st.Drift, st.Version
+		if rows == 0 {
+			drift, version = ss.Gauges()
+		}
+		_ = enc.Encode(streamSummary{Done: true, Model: id, Version: version, Rows: rows, Drift: drift, Refits: refits})
 	}
-	_ = enc.Encode(streamSummary{Done: true, Model: id, Version: version, Rows: rows, Drift: drift, Refits: refits})
 }
 
-// scoreChunk scores one stream chunk on the shared pool, converting stray
-// panics into errors like every other request-reachable path.
-func (s *Server) scoreChunk(ctx context.Context, ss *zeroed.StreamScorer, chunk [][]string) (res *zeroed.Result, st zeroed.ChunkStatus, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.log.Error("stream scoring panicked", "request_id", reqIDFrom(ctx),
-				"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
-			err = errInternalPanic
-		}
-	}()
-	return ss.ScoreChunk(ctx, s.mgr.pool, chunk)
+// errStopStream ends a stream whose response is already complete: the
+// client is gone, or a terminal line was written.
+var errStopStream = errors.New("serve: stream stopped")
+
+// bodySource tags the stream body's read errors as badBody, telling a
+// malformed or truncated body apart from a scoring failure, and records
+// when the body has ended.
+type bodySource struct {
+	table.RowSource
+	done bool
+}
+
+type badBody struct{ error }
+
+func (b *bodySource) Next(max int) ([][]string, error) {
+	rows, err := b.RowSource.Next(max)
+	b.done = err != nil
+	if err != nil && err != io.EOF {
+		err = badBody{err}
+	}
+	return rows, err
 }
 
 // runRefit is the background half of a drift trip: fit a successor on the

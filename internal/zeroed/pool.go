@@ -1,7 +1,9 @@
 package zeroed
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -28,6 +30,15 @@ func NewPool(workers int) *Pool {
 
 // Workers returns the pool's worker budget.
 func (p *Pool) Workers() int { return cap(p.wp.tokens) + 1 }
+
+// orNew returns the shared workers, or a private pool of n workers when the
+// caller passed no Pool.
+func (p *Pool) orNew(n int) *workPool {
+	if p == nil {
+		return newWorkPool(n)
+	}
+	return p.wp
+}
 
 // workPool is the one bounded worker budget shared by every stage of the
 // detection engine. A single pool spans criteria generation, sampling and
@@ -67,12 +78,29 @@ func newWorkPool(workers int) *workPool {
 // many helper workers as the shared budget allows, and returns after every
 // iteration completed. Iterations are claimed from an atomic cursor, so the
 // partition adapts to uneven unit costs.
+//
+// A panic in any iteration — on a helper or on the caller's own share —
+// stops the hand-out of further iterations; once every helper has returned
+// (and released its token), forN re-raises it on the caller as a
+// *workerPanic carrying the original value and the panicking goroutine's
+// stack. One recover around the caller therefore covers every worker.
 func (p *workPool) forN(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
 	var cursor atomic.Int64
+	var failed atomic.Pointer[workerPanic]
 	run := func() {
+		defer func() {
+			if rec := recover(); rec != nil {
+				wp, ok := rec.(*workerPanic) // a nested forN already wrapped it
+				if !ok {
+					wp = &workerPanic{value: rec, stack: debug.Stack()}
+				}
+				failed.CompareAndSwap(nil, wp)
+				cursor.Store(int64(n))
+			}
+		}()
 		for {
 			i := int(cursor.Add(1)) - 1
 			if i >= n {
@@ -100,4 +128,16 @@ spawn:
 	}
 	run()
 	wg.Wait()
+	if wp := failed.Load(); wp != nil {
+		panic(wp)
+	}
 }
+
+// workerPanic is the first panic raised inside a forN iteration, re-raised
+// on the forN caller: the original value plus the stack it was raised on.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) Error() string { return fmt.Sprintf("%v\n\n%s", p.value, p.stack) }

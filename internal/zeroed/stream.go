@@ -64,7 +64,8 @@ type StreamConfig struct {
 	DriftMinRows int
 	// MaxAccumRows bounds the accumulated refit dataset (default 100000).
 	// Beyond it rows keep scoring and keep moving the gauges, but are no
-	// longer retained for refitting.
+	// longer retained for refitting. With DriftThreshold <= 0 no row is
+	// retained at all.
 	MaxAccumRows int
 	// RefitBackoffBase is the delay before retrying after the first failed
 	// refit (default 1s); each consecutive failure doubles it.
@@ -197,17 +198,15 @@ func (ss *StreamScorer) ScoreChunk(ctx context.Context, p *Pool, rows [][]string
 	span.SetInt("rows", int64(len(rows)))
 	span.SetInt("version", int64(version))
 
-	var res *Result
-	var err error
-	if p != nil {
-		res, err = m.ScoreRowsOn(ctx, p, rows)
-	} else {
-		res, err = m.ScoreRowsContext(ctx, rows)
-	}
+	res, err := m.scoreRowsOn(ctx, p.orNew(m.cfg.Workers), rows)
 	if err != nil {
 		return nil, ChunkStatus{Version: version}, err
 	}
 
+	// With drift tripping off no refit can run, so rows only move the
+	// gauges: retaining them would grow the heap up to MaxAccumRows for
+	// nothing.
+	retain := ss.cfg.DriftThreshold > 0
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	for _, r := range rows {
@@ -215,11 +214,13 @@ func (ss *StreamScorer) ScoreChunk(ctx context.Context, p *Pool, rows [][]string
 		if err := ss.drift.ObserveRow(r); err != nil {
 			return nil, ChunkStatus{Version: version}, err
 		}
-		if ss.accum.NumRows() < ss.cfg.MaxAccumRows {
+		if retain && ss.accum.NumRows() < ss.cfg.MaxAccumRows {
 			ss.accum.MustAppendRow(r)
 		}
 	}
-	ss.accum.PublishSnapshot()
+	if retain {
+		ss.accum.PublishSnapshot()
+	}
 	st := ChunkStatus{Version: ss.version, Drift: ss.drift.Gauges()}
 	if ss.drift.Trip(ss.cfg.DriftThreshold, ss.cfg.DriftMinRows) &&
 		!ss.refitting.Load() && ss.refitAllowedLocked() {
@@ -349,13 +350,7 @@ func (ss *StreamScorer) Refit(ctx context.Context, p *Pool) (*Model, error) {
 	ds := snap.Clone()
 	ds.Name = "refit"
 	det := New(prior.cfg)
-	var m2 *Model
-	var err error
-	if p != nil {
-		m2, err = det.FitOn(ctx, p, ds)
-	} else {
-		m2, err = det.FitContext(ctx, ds)
-	}
+	m2, err := det.fit(ctx, ds, p.orNew(det.cfg.Workers))
 	if err != nil {
 		return nil, fmt.Errorf("zeroed: refit failed: %w", err)
 	}

@@ -270,3 +270,36 @@ func TestStreamScorerRejectsDegenerate(t *testing.T) {
 		t.Fatal("degenerate model must be rejected")
 	}
 }
+
+// TestStreamDriftOffRetainsNoRows: with drift tripping disabled no refit
+// can run, so streamed rows move the gauges but are never accumulated —
+// the scorer's memory stays independent of the stream's length.
+func TestStreamDriftOffRetainsNoRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fits a model")
+	}
+	m, bench := fitStreamModel(t)
+	ss, err := NewStreamScorer(m, StreamConfig{DriftThreshold: 0, DriftMinRows: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := benchRows(bench, 90)
+	rows[3][1] = "drift-off-novel"
+	for i := 0; i < len(rows); i += 30 {
+		if _, st, err := ss.ScoreChunk(context.Background(), nil, rows[i:i+30]); err != nil {
+			t.Fatal(err)
+		} else if st.ShouldRefit {
+			t.Fatal("refit requested with drift tripping off")
+		}
+	}
+	if n := ss.accum.NumRows(); n != 0 {
+		t.Fatalf("accumulator retained %d rows with drift off, want 0", n)
+	}
+	if snap := ss.accum.LatestSnapshot(); snap != nil && snap.NumRows() != 0 {
+		t.Fatalf("published snapshot holds %d rows with drift off", snap.NumRows())
+	}
+	g, _ := ss.Gauges()
+	if g.Rows != len(rows) || g.UnseenRate == 0 {
+		t.Fatalf("gauges %+v: want %d rows observed and a nonzero unseen rate", g, len(rows))
+	}
+}
