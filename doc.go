@@ -31,8 +31,10 @@
 // guideline labeling are value-ID-deduplicated (criteria.SetMemo,
 // llm.JudgeMemo; Config.DisableFitDedup is the escape hatch, with
 // on≡off bit-identity pinned by TestFitDedupEquivalence), the MLP
-// trains over a flat feature tile (nn.TrainFlat, bit-identical to the
-// row-slice path), and the repo root carries a checked-in PGO profile
+// trains over a flat feature tile (nn.TrainFlat), each minibatch spread
+// over a gang of helpers borrowed from free pool tokens with weights
+// bit-identical to serial training, and the repo root carries a checked-in
+// PGO profile
 // (default.pgo, regenerated by scripts/fitprofile.sh) that CI builds
 // against.
 //

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -52,9 +53,9 @@ func main() {
 	scores := make([]float64, m)
 
 	mlp := nn.New(dim, nn.Config{Epochs: 2, Seed: 1})
-	X := [][]float64{make([]float64, dim), make([]float64, dim)}
-	X[1][0] = 1
-	if _, err := mlp.Train(X, []float64{0, 1}); err != nil {
+	X := make([]float64, 2*dim) // two samples, back to back
+	X[dim] = 1
+	if _, err := mlp.TrainFlat(context.Background(), X, 2, []float64{0, 1}, nil); err != nil {
 		log.Fatal(err)
 	}
 

@@ -19,7 +19,7 @@ func TestTrainRejectsNonFiniteFeatures(t *testing.T) {
 		m := New(3, guardCfg())
 		X := [][]float64{{1, 2, 3}, {4, bad, 6}}
 		y := []float64{0, 1}
-		if _, err := m.Train(X, y); err == nil {
+		if _, err := trainRows(m, X, y); err == nil {
 			t.Errorf("Train with feature %v must error", bad)
 		} else if !strings.Contains(err.Error(), "non-finite") {
 			t.Errorf("error %q should name the non-finite input", err)
@@ -33,7 +33,7 @@ func TestTrainRejectsNonFiniteFeatures(t *testing.T) {
 // TestTrainRejectsNonFiniteLabels mirrors the feature guard on y.
 func TestTrainRejectsNonFiniteLabels(t *testing.T) {
 	m := New(2, guardCfg())
-	if _, err := m.Train([][]float64{{1, 2}, {3, 4}}, []float64{0, math.NaN()}); err == nil {
+	if _, err := trainRows(m, [][]float64{{1, 2}, {3, 4}}, []float64{0, math.NaN()}); err == nil {
 		t.Fatal("Train with a NaN label must error")
 	}
 }
@@ -48,7 +48,7 @@ func TestTrainAbortsOnDivergedLoss(t *testing.T) {
 	m := New(2, cfg)
 	X := [][]float64{{1e8, -1e8}, {-1e8, 1e8}, {1e8, 1e8}, {-1e8, -1e8}}
 	y := []float64{0, 1, 0, 1}
-	_, err := m.Train(X, y)
+	_, err := trainRows(m, X, y)
 	if err == nil {
 		t.Skip("this configuration converged finitely; guard not exercised")
 	}
@@ -65,8 +65,8 @@ func TestTrainContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m := New(2, guardCfg())
-	_, err := m.TrainContext(ctx, [][]float64{{1, 2}, {3, 4}}, []float64{0, 1})
+	_, err := m.TrainFlat(ctx, []float64{1, 2, 3, 4}, 2, []float64{0, 1}, nil)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("TrainContext with canceled ctx = %v, want context.Canceled", err)
+		t.Fatalf("TrainFlat with canceled ctx = %v, want context.Canceled", err)
 	}
 }

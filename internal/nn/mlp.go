@@ -2,7 +2,9 @@
 // multilayer perceptron with ReLU activations and a sigmoid output, trained
 // with the binary cross-entropy objective of Section III-D using Adam and
 // mini-batches. It is written from scratch on float64 slices — no external
-// ML dependencies — and is deterministic for a given seed.
+// ML dependencies — and is deterministic for a given seed and any worker
+// count: TrainFlat can spread each minibatch over a gang of workers
+// (Parallel), and the trained weights are bit-identical to serial training.
 //
 // All weight matrices live in flat row-major []float64 buffers: layer i's
 // row r occupies w[r*cols : (r+1)*cols]. The training loop updates those
@@ -150,77 +152,44 @@ func (m *MLP) forward(x []float64, h1, h2 []float64) float64 {
 	return sigmoid(dotFrom(m.b3, m.w3, h2))
 }
 
-// adamState holds first/second moment estimates for one parameter tensor.
-type adamState struct {
-	m, v []float64
-	t    int
+// Gang fans one training run's per-batch work out over a fixed set of
+// workers. ForN runs fn(0..n-1), in any order and on any of the gang's
+// workers, and returns once every call has returned.
+type Gang interface {
+	ForN(n int, fn func(i int))
 }
 
-func newAdam(n int) *adamState { return &adamState{m: make([]float64, n), v: make([]float64, n)} }
+// Parallel lends a training run workers: it calls body exactly once, with
+// a Gang whose workers stay assigned until body returns. A nil Parallel
+// trains serially on the calling goroutine.
+type Parallel func(body func(Gang))
 
-func (a *adamState) step(params, grads []float64, lr float64) {
-	const beta1, beta2, eps = 0.9, 0.999, 1e-8
-	a.t++
-	bc1 := 1 - math.Pow(beta1, float64(a.t))
-	bc2 := 1 - math.Pow(beta2, float64(a.t))
-	grads = grads[:len(params)]
-	am := a.m[:len(params)]
-	av := a.v[:len(params)]
-	for i := range params {
-		g := grads[i]
-		am[i] = beta1*am[i] + (1-beta1)*g
-		av[i] = beta2*av[i] + (1-beta2)*g*g
-		params[i] -= lr * (am[i] / bc1) / (math.Sqrt(av[i]/bc2) + eps)
+// serialGang runs every fan-out in index order on the caller.
+type serialGang struct{}
+
+func (serialGang) ForN(n int, fn func(i int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
 	}
 }
 
-// Train fits the MLP on features X and binary labels y (1 = error). It
-// returns the final epoch's mean cross-entropy loss. Adam updates apply
-// directly to the flat weight buffers.
-func (m *MLP) Train(X [][]float64, y []float64) (float64, error) {
-	return m.TrainContext(context.Background(), X, y)
-}
-
-// TrainContext is Train with cooperative cancellation: the context is
-// checked once per epoch, and a canceled context aborts training with the
-// context's error. Inputs are validated up front — a non-finite feature or
-// label value is rejected before it can poison the weights, and a
-// non-finite epoch loss (divergence, however caused) aborts with an error
-// rather than training onward through NaNs.
-func (m *MLP) TrainContext(ctx context.Context, X [][]float64, y []float64) (float64, error) {
-	if len(X) == 0 {
-		return 0, fmt.Errorf("nn: empty training set")
-	}
-	if len(X) != len(y) {
-		return 0, fmt.Errorf("nn: %d samples but %d labels", len(X), len(y))
-	}
-	for i, x := range X {
-		if len(x) != m.in {
-			return 0, fmt.Errorf("nn: sample %d has dim %d, want %d", i, len(x), m.in)
-		}
-		if err := validateSample(x, y[i], i); err != nil {
-			return 0, err
-		}
-	}
-	return m.train(ctx, func(i int) []float64 { return X[i] }, len(X), y, false)
-}
-
-// TrainFlat fits the MLP on a flat row-major feature tile: X holds nRows
-// vectors of the model's input dimension back to back — the layout
-// feature.FeaturesInto and the engine's training-matrix stage produce — so
-// training consumes the tile directly with no per-row slice headers. The
-// produced weights are bit-identical to TrainContext on the equivalent
-// nested matrix (same seed, same shuffle stream, same per-element arithmetic
-// order); sample validation is fused into the first epoch's pass instead of
-// running as a separate O(n·dim) sweep. A non-finite sample still aborts
-// training with an error (the partially updated weights are discarded by
-// every caller along with the error).
-func (m *MLP) TrainFlat(X []float64, nRows int, y []float64) (float64, error) {
-	return m.TrainFlatContext(context.Background(), X, nRows, y)
-}
-
-// TrainFlatContext is TrainFlat with cooperative per-epoch cancellation.
-func (m *MLP) TrainFlatContext(ctx context.Context, X []float64, nRows int, y []float64) (float64, error) {
+// TrainFlat fits the MLP on binary labels y (1 = error) and returns the
+// final epoch's mean cross-entropy loss. X is a flat row-major feature
+// tile: nRows vectors of the model's input dimension back to back, the
+// layout feature.FeaturesInto and the engine's training-matrix stage
+// produce.
+//
+// The context is checked once per epoch, and a canceled context aborts
+// training with the context's error. A non-finite feature or label is
+// rejected on first use inside epoch 0, before it can poison the weights,
+// and a non-finite epoch loss (divergence, however caused) aborts with an
+// error rather than training onward through NaNs; every caller discards
+// the partially updated weights along with the error.
+//
+// A non-nil par spreads each minibatch over a gang of workers. The trained
+// weights and the loss are bit-identical for every gang size, serial
+// included (see train).
+func (m *MLP) TrainFlat(ctx context.Context, X []float64, nRows int, y []float64, par Parallel) (float64, error) {
 	if nRows <= 0 {
 		return 0, fmt.Errorf("nn: empty training set")
 	}
@@ -231,8 +200,13 @@ func (m *MLP) TrainFlatContext(ctx context.Context, X []float64, nRows int, y []
 	if nRows != len(y) {
 		return 0, fmt.Errorf("nn: %d samples but %d labels", nRows, len(y))
 	}
-	in := m.in
-	return m.train(ctx, func(i int) []float64 { return X[i*in : (i+1)*in] }, nRows, y, true)
+	if par == nil {
+		return m.train(ctx, X, nRows, y, serialGang{})
+	}
+	var loss float64
+	var err error
+	par(func(g Gang) { loss, err = m.train(ctx, X, nRows, y, g) })
+	return loss, err
 }
 
 // validateSample rejects non-finite features or labels before they can
@@ -249,64 +223,147 @@ func validateSample(x []float64, label float64, i int) error {
 	return nil
 }
 
-// train is the shared Adam/BCE training loop behind TrainContext and
-// TrainFlat: at(i) yields sample i's feature vector (a nested row or a flat
-// tile window — both views see identical float64 sequences, which is why the
-// two entry points produce bit-identical weights). When fusedValidate is
-// set, sample validation happens on first use inside epoch 0 rather than as
-// an up-front sweep.
-func (m *MLP) train(ctx context.Context, at func(int) []float64, n int, y []float64, fusedValidate bool) (float64, error) {
-	h1n, h2n := m.cfg.Hidden1, m.cfg.Hidden2
-	in := m.in
+// Task granularity of the per-batch parameter update. Every layer-1 column
+// block re-reads each sample's compacted deltas, so blocks are wide enough
+// to amortize that; a layer-2 row group covers whole rows of w2.
+const (
+	colBlock = 40
+	rowGroup = 8
+)
+
+// trainSlot is one batch position's scratch: the per-sample phase writes
+// the sample's activations and deltas here, and the update phase reads
+// every slot in batch order.
+type trainSlot struct {
+	x          []float64 // the sample's feature window of the tile
+	h1, h2     []float64 // post-ReLU activations
+	d1, d2     []float64 // backpropagated deltas
+	nzIdx      []int32   // layer-1 units whose delta survives ReLU and is non-zero
+	nzVal      []float64 // their deltas; the first nz entries are live
+	nz         int
+	loss, dOut float64
+	err        error
+}
+
+// adam holds one parameter tensor's first and second moment estimates.
+type adam struct{ m, v []float64 }
+
+func newAdam(n int) adam { return adam{m: make([]float64, n), v: make([]float64, n)} }
+
+// step applies one Adam update to the parameter block params, whose
+// moments start at offset lo, from the block's gradient. bc1 and bc2 are
+// the batch's bias corrections. Every element updates independently of
+// every other, so any partition of a tensor into blocks yields the same
+// bits as one whole-tensor step.
+func (a adam) step(lo int, params, grads []float64, lr, bc1, bc2 float64) {
+	const beta1, beta2, eps = 0.9, 0.999, 1e-8
+	grads = grads[:len(params)]
+	am := a.m[lo : lo+len(params)]
+	av := a.v[lo : lo+len(params)]
+	for i := range params {
+		g := grads[i]
+		am[i] = beta1*am[i] + (1-beta1)*g
+		av[i] = beta2*av[i] + (1-beta2)*g*g
+		params[i] -= lr * (am[i] / bc1) / (math.Sqrt(av[i]/bc2) + eps)
+	}
+}
+
+// trainer is one training run's working set.
+//
+// Layer 1 lives in a column-major (transposed) tile for the whole run —
+// weights, gradient and Adam moments alike — and is folded back to the
+// row-major m.w1 after the last batch. The hot per-sample loops walk one
+// input column at a time and update every unit's accumulator from it:
+// each accumulator r still receives b[r] + w[r][0]*x[0] + w[r][1]*x[1] +
+// ... in ascending column order, dotFrom's association, but the walk
+// advances h1n independent dependency chains per sequential load. L2
+// decay and Adam are elementwise, so the permuted parameter order leaves
+// every trained value unchanged. Layer 2 keeps its canonical row-major
+// layout (the backward pass reads it by row) plus a transposed copy for
+// the forward pass, refreshed after each update.
+type trainer struct {
+	m            *MLP
+	X, y         []float64
+	in, h1n, h2n int
+
+	batch    []int // sample indices of the current minibatch, in order
+	bs       float64
+	validate bool // epoch 0 validates each sample on first use
+	slots    []trainSlot
+
+	w1t, g1t, w2t      []float64
+	gW2, gW3, gB1, gB2 []float64
+
+	optW1, optW2, optW3, optB1, optB2, optB3 adam
+	steps                                    int     // Adam steps taken: one per batch
+	bc1, bc2                                 float64 // the current step's bias corrections
+
+	colBlocks, rowGroups int
+}
+
+func newTrainer(m *MLP, X []float64, n int, y []float64) *trainer {
+	in, h1n, h2n := m.in, m.cfg.Hidden1, m.cfg.Hidden2
+	t := &trainer{
+		m: m, X: X, y: y, in: in, h1n: h1n, h2n: h2n,
+		w1t: make([]float64, in*h1n),
+		g1t: make([]float64, in*h1n),
+		w2t: make([]float64, h1n*h2n),
+		gW2: make([]float64, h2n*h1n),
+		gW3: make([]float64, h2n),
+		gB1: make([]float64, h1n),
+		gB2: make([]float64, h2n),
+
+		optW1: newAdam(in * h1n),
+		optW2: newAdam(h2n * h1n),
+		optW3: newAdam(h2n),
+		optB1: newAdam(h1n),
+		optB2: newAdam(h2n),
+		optB3: newAdam(1),
+
+		colBlocks: (in + colBlock - 1) / colBlock,
+		rowGroups: (h2n + rowGroup - 1) / rowGroup,
+	}
+	transpose(t.w1t, m.w1, h1n, in)
+	transpose(t.w2t, m.w2, h2n, h1n)
+	t.slots = make([]trainSlot, min(m.cfg.BatchSize, n))
+	per := 3*h1n + 2*h2n
+	buf := make([]float64, len(t.slots)*per)
+	idx := make([]int32, len(t.slots)*h1n)
+	for s := range t.slots {
+		b := buf[s*per : (s+1)*per]
+		t.slots[s] = trainSlot{
+			h1:    b[:h1n:h1n],
+			d1:    b[h1n : 2*h1n : 2*h1n],
+			nzVal: b[2*h1n : 3*h1n : 3*h1n],
+			h2:    b[3*h1n : 3*h1n+h2n : 3*h1n+h2n],
+			d2:    b[3*h1n+h2n : per : per],
+			nzIdx: idx[s*h1n : (s+1)*h1n : (s+1)*h1n],
+		}
+	}
+	return t
+}
+
+// train is the Adam/BCE training loop. Each minibatch runs as two
+// fan-outs over the gang:
+//
+//   - per sample (t.sample): forward pass, loss and deltas into the
+//     sample's slot. It reads the weights and writes only its own slot.
+//   - per parameter block (t.update): every gradient element takes its
+//     samples' contributions in batch order — the serial loop's exact add
+//     sequence — and then the block's L2 decay and Adam step.
+//
+// Between the two, the caller sums the batch loss in slot order and
+// advances Adam's step count once. No value depends on which worker ran
+// which sample or block, so the result is bit-identical for any gang.
+func (m *MLP) train(ctx context.Context, X []float64, n int, y []float64, g Gang) (float64, error) {
+	t := newTrainer(m, X, n, y)
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 7))
-
-	optW1 := newAdam(h1n * in)
-	optW2 := newAdam(h2n * h1n)
-	optW3 := newAdam(h2n)
-	optB1 := newAdam(h1n)
-	optB2 := newAdam(h2n)
-	optB3 := newAdam(1)
-
-	gradW2 := make([]float64, h2n*h1n)
-	gradW3 := make([]float64, h2n)
-	gradB1 := make([]float64, h1n)
-	gradB2 := make([]float64, h2n)
-	gradB3 := make([]float64, 1)
-
-	h1 := make([]float64, h1n)
-	h2 := make([]float64, h2n)
-	d2 := make([]float64, h2n)
-	d1 := make([]float64, h1n)
-
-	// Column-major working set. The hot per-sample loops walk one input
-	// column at a time and update every output unit's accumulator from it:
-	// each accumulator r still receives exactly b[r] + w[r][0]*x[0] +
-	// w[r][1]*x[1] + ... in ascending column order — the same left-to-right
-	// association as dotFrom — so the trained weights are bit-identical to
-	// the historical row-major loops. The payoff is instruction-level
-	// parallelism: a single row's dot product is one latency-bound chain of
-	// dependent adds, while the column walk advances h1n independent chains
-	// per cache-friendly sequential load. Layer 1 lives entirely in the
-	// transposed layout for the duration of training — weights, gradient,
-	// and Adam moments alike. L2 decay and Adam are strictly elementwise
-	// (each parameter's update depends only on its own gradient and moment
-	// history, plus step-count scalars), so a consistent permutation of
-	// parameter order leaves every trained value bit-identical; the tile is
-	// folded back to row-major m.w1 once, after the final batch. Layer 2's
-	// transposed tile is refreshed after each Adam step (it is read
-	// row-major in the backward pass, so it keeps its canonical layout).
-	w1t := make([]float64, in*h1n)
-	w2t := make([]float64, h1n*h2n)
-	g1t := make([]float64, in*h1n)
-	transpose(w1t, m.w1, h1n, in)
-	transpose(w2t, m.w2, h2n, h1n)
-	d1nzIdx := make([]int32, h1n)
-	d1nzVal := make([]float64, h1n)
-
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
+	sample, update := t.sample, t.update
+	tasks := t.colBlocks + t.rowGroups + 1
 
 	var lastLoss float64
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
@@ -314,129 +371,194 @@ func (m *MLP) train(ctx context.Context, at func(int) []float64, n int, y []floa
 			return 0, fmt.Errorf("nn: training canceled at epoch %d: %w", epoch, err)
 		}
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		t.validate = epoch == 0
 		epochLoss := 0.0
-		for start := 0; start < len(idx); start += m.cfg.BatchSize {
-			end := min(start+m.cfg.BatchSize, len(idx))
-			bs := float64(end - start)
-			zero(g1t)
-			zero(gradW2)
-			zero(gradW3)
-			zero(gradB1)
-			zero(gradB2)
-			gradB3[0] = 0
-
-			for _, i := range idx[start:end] {
-				x := at(i)
-				if fusedValidate && epoch == 0 {
-					if err := validateSample(x, y[i], i); err != nil {
-						return 0, err
-					}
+		for start := 0; start < n; start += m.cfg.BatchSize {
+			t.batch = idx[start:min(start+m.cfg.BatchSize, n)]
+			t.bs = float64(len(t.batch))
+			g.ForN(len(t.batch), sample)
+			for s := range t.batch {
+				if err := t.slots[s].err; err != nil {
+					return 0, err
 				}
-				// Forward, column-major: four input columns per pass, each
-				// accumulator taking its four products in ascending column
-				// order — the identical add sequence to dotFrom, at roughly
-				// half the instructions per multiply-add (the accumulator
-				// load/store and loop overhead amortize over four columns).
-				copy(h1, m.b1)
-				colMajorAccum(h1, w1t, x, in)
-				for r, s := range h1 {
-					if s < 0 {
-						h1[r] = 0
-					}
-				}
-				copy(h2, m.b2)
-				colMajorAccum(h2, w2t, h1, h1n)
-				for r, s := range h2 {
-					if s < 0 {
-						h2[r] = 0
-					}
-				}
-				p := sigmoid(dotFrom(m.b3, m.w3, h2))
-
-				t := y[i]
-				epochLoss += bceLoss(t, p)
-				// dL/dlogit for sigmoid + BCE.
-				dOut := (p - t) / bs
-				for j := range m.w3 {
-					gradW3[j] += dOut * h2[j]
-					d2[j] = dOut * m.w3[j]
-					if h2[j] <= 0 {
-						d2[j] = 0
-					}
-				}
-				gradB3[0] += dOut
-				for j := range d1 {
-					d1[j] = 0
-				}
-				for r := 0; r < h2n; r++ {
-					d2r := d2[r]
-					if d2r == 0 {
-						continue
-					}
-					// Reslice scratch views to the row length so the inner
-					// loop runs without bounds checks; per-element arithmetic
-					// order is unchanged.
-					row := m.w2[r*h1n : (r+1)*h1n]
-					g := gradW2[r*h1n : r*h1n+len(row)]
-					hr := h1[:len(row)]
-					dr := d1[:len(row)]
-					for c, w := range row {
-						g[c] += d2r * hr[c]
-						dr[c] += d2r * w
-					}
-					gradB2[r] += d2r
-				}
-				// Compact the surviving layer-1 deltas (ReLU kills about
-				// half), then scatter the outer product into the transposed
-				// gradient tile column by column. Each g1t element receives
-				// the same single d1[r]*x[c] add per sample as the row-major
-				// loop did — only the (r, c) visit order changes, and every
-				// element is visited at most once per sample, so batch
-				// accumulation order per element is preserved exactly.
-				k := 0
-				for r, v := range d1 {
-					if h1[r] <= 0 {
-						continue
-					}
-					if v == 0 {
-						continue
-					}
-					d1nzIdx[k] = int32(r)
-					d1nzVal[k] = v
-					gradB1[r] += v
-					k++
-				}
-				nzIdx := d1nzIdx[:k]
-				nzVal := d1nzVal[:k]
-				scatterOuter(g1t, nzIdx, nzVal, x, in, h1n)
+				epochLoss += t.slots[s].loss
 			}
-
-			// L2 decay + Adam updates. Layer 1 updates in place on the
-			// transposed tile (elementwise math is layout-blind); the
-			// other tensors update on their canonical flat layouts.
-			addL2(g1t, w1t, m.cfg.L2)
-			optW1.step(w1t, g1t, m.cfg.LR)
-			addL2(gradW2, m.w2, m.cfg.L2)
-			optW2.step(m.w2, gradW2, m.cfg.LR)
-			addL2(gradW3, m.w3, m.cfg.L2)
-			optW3.step(m.w3, gradW3, m.cfg.LR)
-			optB1.step(m.b1, gradB1, m.cfg.LR)
-			optB2.step(m.b2, gradB2, m.cfg.LR)
-			b3 := [1]float64{m.b3}
-			optB3.step(b3[:], gradB3, m.cfg.LR)
-			m.b3 = b3[0]
-			transpose(w2t, m.w2, h2n, h1n)
+			const beta1, beta2 = 0.9, 0.999
+			t.steps++
+			t.bc1 = 1 - math.Pow(beta1, float64(t.steps))
+			t.bc2 = 1 - math.Pow(beta2, float64(t.steps))
+			g.ForN(tasks, update)
 		}
-		lastLoss = epochLoss / float64(len(idx))
+		lastLoss = epochLoss / float64(n)
 		if math.IsNaN(lastLoss) || math.IsInf(lastLoss, 0) {
 			return 0, fmt.Errorf("nn: non-finite training loss %v at epoch %d", lastLoss, epoch)
 		}
 	}
-	// Fold the transposed layer-1 tile back to the canonical row-major
-	// layout the inference path reads.
-	transpose(m.w1, w1t, in, h1n)
+	transpose(m.w1, t.w1t, t.in, t.h1n)
 	m.trained = true
 	return lastLoss, nil
+}
+
+// sample runs batch position s's forward pass and backpropagation into
+// its slot, reading the weights as the previous update left them.
+func (t *trainer) sample(s int) {
+	m := t.m
+	sl := &t.slots[s]
+	i := t.batch[s]
+	x := t.X[i*t.in : (i+1)*t.in]
+	sl.x, sl.err = x, nil
+	if t.validate {
+		if sl.err = validateSample(x, t.y[i], i); sl.err != nil {
+			return
+		}
+	}
+	h1, h2, d1, d2 := sl.h1, sl.h2, sl.d1, sl.d2
+	// Forward, column-major: four input columns per pass, each accumulator
+	// taking its products in ascending column order.
+	copy(h1, m.b1)
+	colMajorAccum(h1, t.w1t, x, t.in)
+	relu(h1)
+	copy(h2, m.b2)
+	colMajorAccum(h2, t.w2t, h1, t.h1n)
+	relu(h2)
+	p := sigmoid(dotFrom(m.b3, m.w3, h2))
+
+	label := t.y[i]
+	sl.loss = bceLoss(label, p)
+	// dL/dlogit for sigmoid + BCE.
+	dOut := (p - label) / t.bs
+	sl.dOut = dOut
+	for j, w := range m.w3 {
+		d2[j] = dOut * w
+		if h2[j] <= 0 {
+			d2[j] = 0
+		}
+	}
+	zero(d1)
+	h1n := t.h1n
+	for r, d2r := range d2 {
+		if d2r == 0 {
+			continue
+		}
+		row := m.w2[r*h1n : (r+1)*h1n]
+		dr := d1[:len(row)]
+		for c, w := range row {
+			dr[c] += d2r * w
+		}
+	}
+	// Compact the surviving layer-1 deltas (ReLU kills about half); the
+	// layer-1 gradient and b1 take one add per listed unit.
+	k := 0
+	for r, v := range d1 {
+		if h1[r] <= 0 || v == 0 {
+			continue
+		}
+		sl.nzIdx[k] = int32(r)
+		sl.nzVal[k] = v
+		k++
+	}
+	sl.nz = k
+}
+
+// update accumulates and applies one parameter block's gradient. Tasks
+// [0, colBlocks) are layer-1 column blocks, the next rowGroups are layer-2
+// row groups, and the last covers w3, b1 and b3.
+func (t *trainer) update(task int) {
+	switch {
+	case task < t.colBlocks:
+		c0 := task * colBlock
+		t.updateW1(c0, min(c0+colBlock, t.in))
+	case task < t.colBlocks+t.rowGroups:
+		r0 := (task - t.colBlocks) * rowGroup
+		t.updateW2(r0, min(r0+rowGroup, t.h2n))
+	default:
+		t.updateOut()
+	}
+}
+
+// updateW1 updates layer-1 input columns [c0, c1) of the transposed tile.
+// Each element receives at most one d*x add per sample, in batch order.
+func (t *trainer) updateW1(c0, c1 int) {
+	lo, hi := c0*t.h1n, c1*t.h1n
+	g := t.g1t[lo:hi]
+	zero(g)
+	for s := range t.batch {
+		sl := &t.slots[s]
+		scatterOuter(g, sl.nzIdx[:sl.nz], sl.nzVal[:sl.nz], sl.x[c0:c1], c1-c0, t.h1n)
+	}
+	w := t.w1t[lo:hi]
+	addL2(g, w, t.m.cfg.L2)
+	t.optW1.step(lo, w, g, t.m.cfg.LR, t.bc1, t.bc2)
+}
+
+// updateW2 updates layer-2 rows [r0, r1) and their biases, then refreshes
+// those rows of the transposed forward tile.
+func (t *trainer) updateW2(r0, r1 int) {
+	m, h1n := t.m, t.h1n
+	lo, hi := r0*h1n, r1*h1n
+	g, gb := t.gW2[lo:hi], t.gB2[r0:r1]
+	zero(g)
+	zero(gb)
+	for s := range t.batch {
+		sl := &t.slots[s]
+		h := sl.h1[:h1n]
+		for r := r0; r < r1; r++ {
+			d2r := sl.d2[r]
+			if d2r == 0 {
+				continue
+			}
+			gr := t.gW2[r*h1n : r*h1n+len(h)]
+			for c, v := range h {
+				gr[c] += d2r * v
+			}
+			t.gB2[r] += d2r
+		}
+	}
+	w := m.w2[lo:hi]
+	addL2(g, w, m.cfg.L2)
+	t.optW2.step(lo, w, g, m.cfg.LR, t.bc1, t.bc2)
+	t.optB2.step(r0, m.b2[r0:r1], gb, m.cfg.LR, t.bc1, t.bc2)
+	for r := r0; r < r1; r++ {
+		for c, v := range m.w2[r*h1n : (r+1)*h1n] {
+			t.w2t[c*t.h2n+r] = v
+		}
+	}
+}
+
+// updateOut updates the output layer (w3, b3) and the layer-1 biases.
+func (t *trainer) updateOut() {
+	m := t.m
+	gW3, gB1 := t.gW3, t.gB1
+	zero(gW3)
+	zero(gB1)
+	gB3 := [1]float64{}
+	for s := range t.batch {
+		sl := &t.slots[s]
+		dOut := sl.dOut
+		for j, h := range sl.h2[:len(gW3)] {
+			gW3[j] += dOut * h
+		}
+		gB3[0] += dOut
+		for k, r := range sl.nzIdx[:sl.nz] {
+			gB1[r] += sl.nzVal[k]
+		}
+	}
+	lr := m.cfg.LR
+	addL2(gW3, m.w3, m.cfg.L2)
+	t.optW3.step(0, m.w3, gW3, lr, t.bc1, t.bc2)
+	t.optB1.step(0, m.b1, gB1, lr, t.bc1, t.bc2)
+	b3 := [1]float64{m.b3}
+	t.optB3.step(0, b3[:], gB3[:], lr, t.bc1, t.bc2)
+	m.b3 = b3[0]
+}
+
+// relu clamps negative activations to zero in place.
+func relu(h []float64) {
+	for r, s := range h {
+		if s < 0 {
+			h[r] = 0
+		}
+	}
 }
 
 // colMajorAccum adds W·x into acc against the transposed weight tile wt
@@ -579,8 +701,11 @@ func (m *MLP) PredictBatch(X [][]float64) []float64 {
 
 func (m *MLP) getScratch() *fwdScratch { return m.scratch.Get().(*fwdScratch) }
 
+// Config returns the MLP's configuration, with New's defaults applied.
+func (m *MLP) Config() Config { return m.cfg }
+
 // InputDim returns the model's input dimensionality.
 func (m *MLP) InputDim() int { return m.in }
 
-// Trained reports whether Train has completed successfully.
+// Trained reports whether TrainFlat has completed successfully.
 func (m *MLP) Trained() bool { return m.trained }

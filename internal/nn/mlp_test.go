@@ -29,7 +29,7 @@ func TestLearnsXOR(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 120
 	m := New(2, cfg)
-	loss, err := m.Train(X, y)
+	loss, err := trainRows(m, X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +51,13 @@ func TestLearnsXOR(t *testing.T) {
 
 func TestTrainValidation(t *testing.T) {
 	m := New(3, DefaultConfig())
-	if _, err := m.Train(nil, nil); err == nil {
+	if _, err := trainRows(m, nil, nil); err == nil {
 		t.Error("empty training set must error")
 	}
-	if _, err := m.Train([][]float64{{1, 2, 3}}, []float64{1, 0}); err == nil {
+	if _, err := trainRows(m, [][]float64{{1, 2, 3}}, []float64{1, 0}); err == nil {
 		t.Error("label/sample mismatch must error")
 	}
-	if _, err := m.Train([][]float64{{1, 2}}, []float64{1}); err == nil {
+	if _, err := trainRows(m, [][]float64{{1, 2}}, []float64{1}); err == nil {
 		t.Error("dimension mismatch must error")
 	}
 	if m.Trained() {
@@ -72,8 +72,8 @@ func TestDeterministicTraining(t *testing.T) {
 	cfg.Epochs = 10
 	a := New(2, cfg)
 	b := New(2, cfg)
-	la, _ := a.Train(X, y)
-	lb, _ := b.Train(X, y)
+	la, _ := trainRows(a, X, y)
+	lb, _ := trainRows(b, X, y)
 	if la != lb {
 		t.Errorf("same seed must give identical loss: %v vs %v", la, lb)
 	}
@@ -89,7 +89,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 5
 	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
 	batch := m.PredictBatch(X[:10])
@@ -106,7 +106,7 @@ func TestProbabilitiesInRange(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 3
 	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range X {
@@ -133,7 +133,7 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	m := New(4, Config{}) // all zero: every default should kick in
 	X := [][]float64{{1, 0, 0, 0}, {0, 1, 0, 0}}
 	y := []float64{0, 1}
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Trained() {
@@ -149,7 +149,7 @@ func TestPredictIntoMatchesPredict(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 5
 	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
 	n := 32
@@ -179,7 +179,7 @@ func TestPredictZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 3
 	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
 	x := X[0]
@@ -204,7 +204,7 @@ func TestPredictConcurrentSafe(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 3
 	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]float64, len(X))
@@ -243,7 +243,7 @@ func BenchmarkTrainSmall(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m := New(2, cfg)
-		if _, err := m.Train(X, y); err != nil {
+		if _, err := trainRows(m, X, y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,7 +255,7 @@ func BenchmarkPredict(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 3
 	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -291,7 +291,7 @@ func TestGradientNumerically(t *testing.T) {
 	// gradient is non-negligible).
 	trained := New(2, cfg)
 	before := trained.w1[0]
-	if _, err := trained.Train(X, y); err != nil {
+	if _, err := trainRows(trained, X, y); err != nil {
 		t.Fatal(err)
 	}
 	after := trained.w1[0]
@@ -311,9 +311,9 @@ func TestLossDecreasesOverEpochs(t *testing.T) {
 	long := short
 	long.Epochs = 60
 	a := New(2, short)
-	la, _ := a.Train(X, y)
+	la, _ := trainRows(a, X, y)
 	b := New(2, long)
-	lb, _ := b.Train(X, y)
+	lb, _ := trainRows(b, X, y)
 	if lb >= la {
 		t.Errorf("loss after 60 epochs (%v) should beat 2 epochs (%v)", lb, la)
 	}
@@ -337,7 +337,7 @@ func TestClassImbalanceStillLearns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 40
 	m := New(2, cfg)
-	if _, err := m.Train(X, y); err != nil {
+	if _, err := trainRows(m, X, y); err != nil {
 		t.Fatal(err)
 	}
 	if p := m.Predict([]float64{1, 0}); p < 0.5 {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -30,11 +31,25 @@ func synthTrainingSet(n, dim int, seed int64) ([][]float64, []float64, []float64
 	return nested, y, flat
 }
 
-// TestTrainFlatMatchesTrainContext pins the tentpole contract: TrainFlat on
-// the flat tile produces bit-identical weights, biases, and final loss to
-// TrainContext on the equivalent nested matrix — including the Adam moment
-// updates and the per-epoch shuffle stream, across multiple epochs and
-// partial final batches.
+// trainRows trains m on a nested matrix, serially and without cancellation,
+// by flattening it into the tile TrainFlat consumes. A row of the wrong
+// width is an error, as it was for the nested entry point this replaces.
+func trainRows(m *MLP, X [][]float64, y []float64) (float64, error) {
+	flat := make([]float64, 0, len(X)*m.InputDim())
+	for i, x := range X {
+		if len(x) != m.InputDim() {
+			return 0, fmt.Errorf("nn: sample %d has dim %d, want %d", i, len(x), m.InputDim())
+		}
+		flat = append(flat, x...)
+	}
+	return m.TrainFlat(context.Background(), flat, len(X), y, nil)
+}
+
+// TestTrainFlatMatchesTrainContext pins the flat entry point against the
+// nested-matrix helper: TrainFlat on the flat tile produces bit-identical
+// weights, biases, and final loss to trainRows on the equivalent nested
+// matrix — including the Adam moment updates and the per-epoch shuffle
+// stream, across multiple epochs and partial final batches.
 func TestTrainFlatMatchesTrainContext(t *testing.T) {
 	const n, dim = 203, 17 // deliberately not a multiple of the batch size
 	nested, y, flat := synthTrainingSet(n, dim, 42)
@@ -43,11 +58,11 @@ func TestTrainFlatMatchesTrainContext(t *testing.T) {
 	mNested := New(dim, cfg)
 	mFlat := New(dim, cfg)
 
-	lossNested, err := mNested.TrainContext(context.Background(), nested, y)
+	lossNested, err := trainRows(mNested, nested, y)
 	if err != nil {
-		t.Fatalf("TrainContext: %v", err)
+		t.Fatalf("trainRows: %v", err)
 	}
-	lossFlat, err := mFlat.TrainFlat(flat, n, y)
+	lossFlat, err := mFlat.TrainFlat(context.Background(), flat, n, y, nil)
 	if err != nil {
 		t.Fatalf("TrainFlat: %v", err)
 	}
@@ -81,13 +96,13 @@ func TestTrainFlatMatchesTrainContext(t *testing.T) {
 // TestTrainFlatShapeValidation pins the flat entry point's shape errors.
 func TestTrainFlatShapeValidation(t *testing.T) {
 	m := New(4, Config{Hidden1: 4, Hidden2: 3, Epochs: 1, Seed: 1})
-	if _, err := m.TrainFlat(nil, 0, nil); err == nil {
+	if _, err := m.TrainFlat(context.Background(), nil, 0, nil, nil); err == nil {
 		t.Fatal("empty training set accepted")
 	}
-	if _, err := m.TrainFlat(make([]float64, 7), 2, make([]float64, 2)); err == nil {
+	if _, err := m.TrainFlat(context.Background(), make([]float64, 7), 2, make([]float64, 2), nil); err == nil {
 		t.Fatal("misshapen tile accepted")
 	}
-	if _, err := m.TrainFlat(make([]float64, 8), 2, make([]float64, 3)); err == nil {
+	if _, err := m.TrainFlat(context.Background(), make([]float64, 8), 2, make([]float64, 3), nil); err == nil {
 		t.Fatal("label/sample mismatch accepted")
 	}
 }
@@ -100,14 +115,14 @@ func TestTrainFlatFusedValidationRejectsNonFinite(t *testing.T) {
 	_, y, flat := synthTrainingSet(n, dim, 7)
 	flat[3*dim+2] = math.NaN()
 	m := New(dim, Config{Hidden1: 8, Hidden2: 4, Epochs: 3, Seed: 2})
-	if _, err := m.TrainFlat(flat, n, y); err == nil || !strings.Contains(err.Error(), "non-finite") {
+	if _, err := m.TrainFlat(context.Background(), flat, n, y, nil); err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Fatalf("NaN feature not rejected: %v", err)
 	}
 
 	_, y2, flat2 := synthTrainingSet(n, dim, 8)
 	y2[11] = math.Inf(1)
 	m2 := New(dim, Config{Hidden1: 8, Hidden2: 4, Epochs: 3, Seed: 2})
-	if _, err := m2.TrainFlat(flat2, n, y2); err == nil || !strings.Contains(err.Error(), "non-finite") {
+	if _, err := m2.TrainFlat(context.Background(), flat2, n, y2, nil); err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Fatalf("Inf label not rejected: %v", err)
 	}
 }

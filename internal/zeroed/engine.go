@@ -146,6 +146,7 @@ func (dt *Detector) fit(ctx context.Context, d *table.Dataset, pool *workPool) (
 		res:    &Result{},
 	}
 	var mlp *nn.MLP
+	var span *obs.Span // the running stage's span
 	var flatX []float64
 	var nTrain int
 	var yTrain []float64
@@ -160,7 +161,7 @@ func (dt *Detector) fit(ctx context.Context, d *table.Dataset, pool *workPool) (
 		{"matrix", func() error { flatX, nTrain, yTrain = e.stageTrainingMatrix(); return nil }},
 		{"train", func() error {
 			var err error
-			mlp, err = e.stageTrain(flatX, nTrain, yTrain)
+			mlp, err = e.stageTrain(span, flatX, nTrain, yTrain)
 			return err
 		}},
 	}
@@ -170,7 +171,7 @@ func (dt *Detector) fit(ctx context.Context, d *table.Dataset, pool *workPool) (
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("zeroed: detection canceled: %w", err)
 		}
-		_, span := obs.Start(ctx, "fit."+stage.name)
+		_, span = obs.Start(ctx, "fit."+stage.name)
 		runtime.ReadMemStats(&ms0)
 		t0 := time.Now()
 		if err := stage.fn(); err != nil {
@@ -420,15 +421,31 @@ func (e *engine) stageTrainingMatrix() ([]float64, int, []float64) {
 }
 
 // stageTrain trains the MLP detector on the verified training tile
-// (Step 4's training half; scoring lives on the fitted Model). Degenerate
-// labeling (all clean or all dirty) yields no trainable signal and returns
-// a nil model — the Model falls back to the propagated labels themselves.
-func (e *engine) stageTrain(flatX []float64, n int, y []float64) (*nn.MLP, error) {
+// (Step 4's training half; scoring lives on the fitted Model). Each
+// minibatch spreads over a gang of helpers borrowed from the free pool
+// tokens; the weights are bit-identical for any gang size. The stage span
+// records how many helpers the gang got (zero when the pool was busy),
+// the minibatch count and the training-set size. Degenerate labeling (all
+// clean or all dirty) yields no trainable signal and returns a nil model —
+// the Model falls back to the propagated labels themselves.
+func (e *engine) stageTrain(span *obs.Span, flatX []float64, n int, y []float64) (*nn.MLP, error) {
 	if !hasBothClasses(y) {
 		return nil, nil
 	}
 	mlp := nn.New(e.ext.Dim(), e.cfg.MLP)
-	if _, err := mlp.TrainFlatContext(e.ctx, flatX, n, y); err != nil {
+	helpers := 0
+	par := func(body func(nn.Gang)) {
+		e.pool.gang(func(g *gang) {
+			helpers = g.helpers
+			body(g)
+		})
+	}
+	_, err := mlp.TrainFlat(e.ctx, flatX, n, y, par)
+	cfg := mlp.Config()
+	span.SetInt("helpers", int64(helpers))
+	span.SetInt("batches", int64(cfg.Epochs*((n+cfg.BatchSize-1)/cfg.BatchSize)))
+	span.SetInt("samples", int64(n))
+	if err != nil {
 		return nil, fmt.Errorf("zeroed: training detector: %w", err)
 	}
 	return mlp, nil

@@ -48,20 +48,18 @@ func scorerFixture(t testing.TB, dedup bool) (*shardScorer, int) {
 	// Train a tiny MLP on synthetic two-class data of the right width; the
 	// scorer only needs a fitted model, not a good one.
 	rng := rand.New(rand.NewSource(5))
-	X := make([][]float64, 24)
-	y := make([]float64, 24)
+	const rows = 24
+	X := make([]float64, rows*dim)
+	y := make([]float64, rows)
 	for i := range X {
-		X[i] = make([]float64, dim)
-		for k := range X[i] {
-			X[i][k] = rng.Float64()
-		}
-		if i%2 == 0 {
-			y[i] = 1
-		}
+		X[i] = rng.Float64()
+	}
+	for i := 0; i < rows; i += 2 {
+		y[i] = 1
 	}
 	cfg := nn.Config{Hidden1: 8, Hidden2: 4, Epochs: 2, Seed: 1}
 	mlp := nn.New(dim, cfg)
-	if _, err := mlp.Train(X, y); err != nil {
+	if _, err := mlp.TrainFlat(context.Background(), X, rows, y, nil); err != nil {
 		t.Fatal(err)
 	}
 	n, m := d.NumRows(), d.NumCols()

@@ -69,3 +69,37 @@ func TestTraceSpanlessContextIsFree(t *testing.T) {
 		t.Fatalf("span created without a trace in the context")
 	}
 }
+
+// TestFitTrainSpanAttrs checks that the fit.train span reports how many
+// helpers the training gang got — none on a one-worker pool, one on a free
+// two-worker pool — and the minibatches and samples it trained on.
+func TestFitTrainSpanAttrs(t *testing.T) {
+	prev := obs.Enabled()
+	defer obs.SetEnabled(prev)
+	withProcs(t, 4)
+	b := detBenches()[0]
+	for _, workers := range []int{1, 2} {
+		obs.SetEnabled(true)
+		ctx, tr := obs.NewTrace(context.Background(), "detect")
+		_, err := New(detConfig(workers, 1)).DetectContext(ctx, b.Dirty)
+		tr.Finish()
+		obs.SetEnabled(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := tr.Tree().Find("fit.train")
+		if node == nil {
+			t.Fatal("fit.train span missing")
+		}
+		if got, want := node.Attrs["helpers"], fmt.Sprint(workers-1); got != want {
+			t.Errorf("workers=%d: helpers attr %q, want %q", workers, got, want)
+		}
+		var samples, batches int
+		fmt.Sscan(node.Attrs["samples"], &samples)
+		fmt.Sscan(node.Attrs["batches"], &batches)
+		cfg := New(detConfig(workers, 1)).Config().MLP
+		if want := cfg.Epochs * ((samples + cfg.BatchSize - 1) / cfg.BatchSize); samples == 0 || batches != want {
+			t.Errorf("workers=%d: samples=%d batches=%d, want batches=%d", workers, samples, batches, want)
+		}
+	}
+}
